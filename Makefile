@@ -31,8 +31,10 @@ test-short:
 # trace JSON with a shard hop child under every frontend root span), the
 # fault smoke lane (SIGKILL a worker mid-iteration and still match the
 # clean run's bytes; graceful SIGTERM with a resumable checkpoint; no
-# orphans after a coordinator SIGKILL), and a one-shot bench smoke so
-# benchmark code cannot rot unnoticed.
+# orphans after a coordinator SIGKILL), a one-shot bench smoke so
+# benchmark code cannot rot unnoticed, and a vet + test pass over the
+# benchmark/ module, which `go build ./...` skips because it is a nested
+# module (an API change in core or shard would otherwise break it silently).
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -50,6 +52,7 @@ ci:
 	$(MAKE) implicit-smoke
 	$(MAKE) trace-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Observability smoke: build alstrain, run one training iteration with
 # -debug-addr, scrape live /metrics and /runinfo, and validate the
@@ -82,7 +85,8 @@ implicit-smoke:
 	$(GO) test -run TestImplicitSmoke -count=1 ./internal/solvers
 
 # Distributed smoke: through the real binaries, train a tiny preset with
-# -workers 2 and require the model byte-identical to single-process, then
+# -workers 2 — explicit, and implicit with -solver cg — and require each
+# model byte-identical to its single-process run, then
 # stand up two alsserve shard replicas plus an alsfront frontend, serve a
 # merged recommendation, and validate the frontend's /metrics exposition.
 # All processes are killed by test cleanup even on failure — no orphans.

@@ -110,15 +110,15 @@ func main() {
 		}
 	}()
 
-	// The numerical guard rides along on every host run: with clean data it
-	// never fires (and the hot path stays allocation-free), with poisoned
-	// data it keeps the run alive — or, under -strict-numerics, makes it die
-	// with a fault that names the iteration and row. Non-host platforms run
-	// guardless as before; asking for -chaos or -strict-numerics there
-	// surfaces core's typed unsupported error instead of silently ignoring
-	// the flag.
+	// The numerical guard rides along on every single-process host run:
+	// with clean data it never fires (and the hot path stays
+	// allocation-free), with poisoned data it keeps the run alive — or,
+	// under -strict-numerics, makes it die with a fault that names the
+	// iteration and row. Non-host platforms and -workers runs go guardless;
+	// asking for -chaos or -strict-numerics there surfaces core's typed
+	// unsupported error instead of silently ignoring the flag.
 	var gd *guard.Guard
-	if *platform == "host" || *chaosSpec != "" || *strict {
+	if (*platform == "host" && *workers <= 0) || *chaosSpec != "" || *strict {
 		gd = guard.New(guard.Policy{Strict: *strict})
 		if *chaosSpec != "" {
 			ch, err := guard.ParseChaos(*chaosSpec)
@@ -269,7 +269,7 @@ func main() {
 	defer stopSignals()
 	cfg.Interrupt = ictx.Done()
 	failOrResumable := func(err error) {
-		if !errors.Is(err, shard.ErrInterrupted) && !errors.Is(err, core.ErrInterrupted) {
+		if !errors.Is(err, core.ErrInterrupted) {
 			fail(err)
 		}
 		fmt.Fprintln(os.Stderr, "alstrain:", err)
@@ -286,38 +286,22 @@ func main() {
 		// Distributed data-parallel training: fork -workers copies of this
 		// binary as rank workers; they reload the identical dataset from the
 		// spec and exchange factor shards through this coordinator.
-		switch {
-		case *platform != "host":
-			fail(fmt.Errorf("-workers trains on the host; -platform %s is a simulated device", *platform))
-		case *chaosSpec != "" || *strict:
-			fail(fmt.Errorf("-workers does not compose with -chaos/-strict-numerics (the guard is per-process)"))
-		case *auto:
-			fail(fmt.Errorf("-workers needs a fixed variant; -auto-variant would let workers disagree"))
-		case *implicit || solver != host.SolverCholesky || *blockSize != 0:
-			fail(fmt.Errorf("-workers does not compose with -implicit/-solver/-block-size: the distributed path trains the explicit objective with the direct solver"))
-		}
 		exe, err := os.Executable()
 		if err != nil {
 			fail(err)
 		}
-		dcfg := shard.TrainerConfig{
-			Workers: *workers,
-			K:       *k, Lambda: float32(*lambda), Iterations: *iters, Seed: *seed,
-			WeightedLambda: *weighted, UseRecommended: *variantID == "",
-			Threads: *threads,
+		cohort := shard.TrainerConfig{
+			Workers: *workers, Threads: *threads,
 			Data: shard.DataSpec{
 				Preset: *preset, Scale: *scale,
 				Input: *input, OneBased: *oneBased, Compact: *compact,
 				TestFrac: *testFrac, Seed: *seed,
 			},
-			CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery,
-			CheckpointKeep: *ckptKeep, CheckpointPrecision: ckPrec,
-			Resume:            *resume,
 			Registry:          reg,
 			Tracer:            tracer,
 			HeartbeatInterval: *heartbeatInterval,
 			RoundTimeout:      *roundTimeout,
-			Interrupt:         ictx.Done(),
+			MaxRespawns:       *maxRespawns,
 			Logf:              log.Printf,
 			Spawn: func(rank int, addr string) (func(), error) {
 				cmd := exec.Command(exe, "-dist-rank", strconv.Itoa(rank), "-dist-coord", addr)
@@ -331,22 +315,17 @@ func main() {
 				return func() { cmd.Process.Kill(); cmd.Wait() }, nil
 			},
 		}
-		if *maxRespawns <= 0 {
-			dcfg.MaxRespawns = -1 // 0 and negative both mean "never respawn"
-		} else {
-			dcfg.MaxRespawns = *maxRespawns
+		if *maxRespawns == 0 {
+			cohort.MaxRespawns = -1 // 0 and negative both mean "never respawn"
 		}
 		if *netChaos != "" {
 			plan, err := chaosnet.ParsePlan(*netChaos)
 			if err != nil {
 				fail(err)
 			}
-			dcfg.NetChaos = plan
+			cohort.NetChaos = plan
 		}
-		if *variantID != "" {
-			dcfg.Variant = cfg.Variant
-		}
-		m, dinfo, err := shard.Train(train, dcfg)
+		m, dinfo, err := shard.TrainWith(train, cfg, cohort)
 		if err != nil {
 			failOrResumable(err)
 		}

@@ -45,11 +45,12 @@ import (
 const PlatformHost = "host"
 
 // Config configures a training run. The zero value trains on the host with
-// the paper's defaults (k=10, λ=0.1, 5 iterations, thread batching with
-// the per-architecture recommended optimizations).
+// k=10, 5 iterations, plain thread batching and no regularization: λ is
+// not defaulted, so set Lambda explicitly (the paper uses 0.1), and set
+// UseRecommended for the per-architecture recommended optimizations.
 type Config struct {
 	K          int     // latent factor dimensionality (default 10)
-	Lambda     float32 // regularization coefficient (default 0.1)
+	Lambda     float32 // regularization coefficient (0 = none)
 	Iterations int     // ALS iterations (default 5)
 	Seed       int64   // initial-guess seed
 
@@ -102,7 +103,8 @@ type Config struct {
 	// Tolerance enables loss-based early stopping on the host (Algorithm
 	// 1's "until it converges"); 0 disables.
 	Tolerance float64
-	// Workers bounds host parallelism (0 = GOMAXPROCS).
+	// Workers bounds in-process host parallelism (0 = GOMAXPROCS); a
+	// TrainOn executor brings its own workers.
 	Workers int
 
 	// CheckpointDir enables crash-safe checkpointing (host platform
@@ -302,7 +304,46 @@ func (m *Model) ScoreItems(x []float32) []float64 {
 var ErrInterrupted = errors.New("core: training interrupted")
 
 // Train factorizes the rating matrix according to cfg.
-func Train(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
+func Train(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) { return train(mx, cfg, nil) }
+
+// UnsupportedError is TrainOn's up-front rejection of a Config option its
+// executor cannot honour.
+type UnsupportedError struct {
+	Option string // the rejected Config field
+	Reason string
+}
+
+func (e *UnsupportedError) Error() string {
+	return "core: " + e.Option + " does not compose with a distributed executor: " + e.Reason
+}
+
+// TrainOn is Train with the half-iterations run by the executor newExec
+// builds — the distributed trainer's supervised worker cohort — instead of
+// the in-process worker pool. Everything between the halves is Train's own
+// driver: resume and its validation, checkpoint cadence and GC, the
+// interrupt with its forced final checkpoint, loss tracking, early
+// stopping and the Obs stream, so a run trained either way writes the same
+// checkpoints and, row updates being pure, the same bits. Options the
+// executor cannot honour are rejected with an *UnsupportedError before any
+// work starts.
+func TrainOn(mx *sparse.Matrix, cfg Config, newExec host.NewExecutor) (*Model, *RunInfo, error) {
+	var unsupported *UnsupportedError
+	switch {
+	case cfg.Platform != "" && cfg.Platform != PlatformHost:
+		unsupported = &UnsupportedError{"Platform", fmt.Sprintf("%q is a simulated device; the executor solves on the host", cfg.Platform)}
+	case cfg.Guard != nil:
+		// Rolling back over workers would need a λ-escalation protocol.
+		unsupported = &UnsupportedError{"Guard", "the recovery ladder, chaos hooks and divergence rollback are per-process"}
+	case cfg.AutoVariant:
+		unsupported = &UnsupportedError{"AutoVariant", "the variant probe is in-process; workers need one fixed variant"}
+	}
+	if unsupported != nil {
+		return nil, nil, unsupported
+	}
+	return train(mx, cfg, newExec)
+}
+
+func train(mx *sparse.Matrix, cfg Config, newExec host.NewExecutor) (*Model, *RunInfo, error) {
 	cfg.setDefaults()
 	if mx == nil || mx.NNZ() == 0 {
 		return nil, nil, fmt.Errorf("core: empty rating matrix")
@@ -325,7 +366,7 @@ func Train(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 	}
 
 	if cfg.Platform == PlatformHost {
-		return trainHost(mx, cfg)
+		return trainHost(mx, cfg, newExec)
 	}
 	dev, err := device.ByName(cfg.Platform)
 	if err != nil {
@@ -334,7 +375,11 @@ func Train(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 	return trainSim(mx, dev, cfg)
 }
 
-func trainHost(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
+// trainHost is the training driver both Train and TrainOn run: it resumes,
+// checkpoints, honours Interrupt and rolls back on divergence around
+// host.Run, whose iteration loop runs the halves on newExec's executor
+// (nil = the in-process worker pool).
+func trainHost(mx *sparse.Matrix, cfg Config, newExec host.NewExecutor) (*Model, *RunInfo, error) {
 	v := cfg.Variant
 	if cfg.AutoVariant {
 		best, _, err := SelectVariant(mx, PlatformHost, cfg)
@@ -363,55 +408,65 @@ func trainHost(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 		Implicit: cfg.Implicit, Alpha: cfg.Alpha, Solver: cfg.Solver,
 		CGIters: cfg.CGIters, BlockSize: cfg.BlockSize,
 	}
-	var preHistory []host.IterStats
-	resumedFrom := 0
+	vname := variantName(cfg.Baseline, v)
 	fsys := cfg.CheckpointFS
 	if fsys == nil {
 		fsys = checkpoint.OS
 	}
-	every := cfg.CheckpointEvery
-	if every <= 0 {
-		every = 1
+	every, keep := max(cfg.CheckpointEvery, 1), cfg.CheckpointKeep
+	if keep <= 0 {
+		keep = 3
 	}
-	// saveCkpt writes a checkpoint unconditionally; the OnIteration hook
-	// applies the stride, and the interrupt path forces a final save.
-	var saveCkpt func(it int, x, y *linalg.Dense, hist []host.IterStats) error
-	if cfg.CheckpointDir != "" {
-		if cfg.Resume {
-			loadStart := time.Now()
-			st, _, err := checkpoint.LoadLatest(fsys, cfg.CheckpointDir)
-			if err == nil || !errors.Is(err, checkpoint.ErrNoCheckpoint) {
-				var bytes int64
-				if err == nil {
-					bytes = st.EncodedSize()
-				}
-				cfg.Obs.RecordCheckpoint("load", time.Since(loadStart), bytes, err)
-			}
-			switch {
-			case err == nil:
-				if err := resumeMismatch(st, &cfg, variantName(cfg.Baseline, v)); err != nil {
-					return nil, nil, err
-				}
-				hostCfg.StartIteration = st.Iteration
-				hostCfg.ResumeX, hostCfg.ResumeY = st.X, st.Y
-				preHistory = st.History
-				resumedFrom = st.Iteration
-			case errors.Is(err, checkpoint.ErrNoCheckpoint):
-				// Nothing to resume: start fresh so crash-rerun loops can
-				// pass Resume unconditionally.
-			default:
-				return nil, nil, fmt.Errorf("core: resuming from %s: %w", cfg.CheckpointDir, err)
-			}
+	// latest loads the newest checkpoint, nil when there is none yet.
+	latest := func() (*checkpoint.State, error) {
+		st, _, err := checkpoint.LoadLatest(fsys, cfg.CheckpointDir)
+		if errors.Is(err, checkpoint.ErrNoCheckpoint) {
+			return nil, nil
 		}
-		keep := cfg.CheckpointKeep
-		if keep <= 0 {
-			keep = 3
+		return st, err
+	}
+	// restart points host.Run at checkpoint st (nil = from scratch): the
+	// iteration it completed, its factors, and the loss history up to it.
+	var preHistory []host.IterStats
+	restart := func(st *checkpoint.State) {
+		hostCfg.StartIteration, hostCfg.ResumeX, hostCfg.ResumeY, preHistory = 0, nil, nil, nil
+		if st != nil {
+			hostCfg.StartIteration, hostCfg.ResumeX, hostCfg.ResumeY, preHistory = st.Iteration, st.X, st.Y, st.History
 		}
-		saveCkpt = func(it int, x, y *linalg.Dense, hist []host.IterStats) error {
+	}
+	resumedFrom := 0
+	if cfg.Resume {
+		loadStart := time.Now()
+		st, err := latest()
+		if err != nil {
+			cfg.Obs.RecordCheckpoint("load", time.Since(loadStart), 0, err)
+			return nil, nil, fmt.Errorf("core: resuming from %s: %w", cfg.CheckpointDir, err)
+		}
+		// With no checkpoint the run starts fresh, so crash-rerun loops can
+		// pass Resume unconditionally.
+		if st != nil {
+			cfg.Obs.RecordCheckpoint("load", time.Since(loadStart), st.EncodedSize(), nil)
+			if err := resumeMismatch(st, &cfg, vname); err != nil {
+				return nil, nil, err
+			}
+			restart(st)
+			resumedFrom = st.Iteration
+		}
+	}
+	hostCfg.OnIteration = func(it int, x, y *linalg.Dense, hist []host.IterStats) error {
+		// An interrupt stops the run at this boundary, forcing the
+		// checkpoint the stride may have skipped so the run stays resumable.
+		stop := false
+		select {
+		case <-cfg.Interrupt:
+			stop = true
+		default:
+		}
+		if cfg.CheckpointDir != "" && (stop || it%every == 0 || it == cfg.Iterations) {
 			st := &checkpoint.State{
 				Iteration: it, K: cfg.K, Lambda: cfg.Lambda,
 				WeightedLambda: cfg.WeightedLambda, Seed: cfg.Seed,
-				Variant: variantName(cfg.Baseline, v), X: x, Y: y,
+				Variant: vname, X: x, Y: y,
 				Precision: cfg.CheckpointPrecision,
 				Implicit:  cfg.Implicit, Alpha: cfg.Alpha, Solver: cfg.Solver,
 				CGIters: cfg.CGIters, BlockSize: cfg.BlockSize,
@@ -420,56 +475,33 @@ func trainHost(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 			saveStart := time.Now()
 			_, err := checkpoint.Save(fsys, cfg.CheckpointDir, st)
 			cfg.Obs.RecordCheckpoint("save", time.Since(saveStart), st.EncodedSize(), err)
+			if err == nil {
+				err = checkpoint.GC(fsys, cfg.CheckpointDir, keep)
+			}
 			if err != nil {
 				return err
 			}
-			return checkpoint.GC(fsys, cfg.CheckpointDir, keep)
 		}
-		hostCfg.OnIteration = func(it int, x, y *linalg.Dense, hist []host.IterStats) error {
-			if it%every != 0 && it != cfg.Iterations {
-				return nil
-			}
-			return saveCkpt(it, x, y, hist)
-		}
-	}
-	if cfg.Interrupt != nil {
-		inner := hostCfg.OnIteration // nil without checkpointing
-		hostCfg.OnIteration = func(it int, x, y *linalg.Dense, hist []host.IterStats) error {
-			if inner != nil {
-				if err := inner(it, x, y, hist); err != nil {
-					return err
-				}
-			}
-			select {
-			case <-cfg.Interrupt:
-			default:
-				return nil
-			}
-			// Stop at this boundary. When the checkpoint stride skipped this
-			// iteration, force one now so the interrupted run is resumable.
-			if saveCkpt != nil && it%every != 0 && it != cfg.Iterations {
-				if err := saveCkpt(it, x, y, hist); err != nil {
-					return err
-				}
-			}
+		if stop {
 			return fmt.Errorf("%w at iteration %d/%d", ErrInterrupted, it, cfg.Iterations)
 		}
+		return nil
 	}
 	start := time.Now()
-	// The divergence-rollback loop: host.Train either completes, fails
-	// hard, or surfaces guard.DivergedError from the watchdog. On
-	// divergence (non-strict guard, rollback budget left) the run restarts
-	// from the last good checkpoint — which exists because the watchdog
-	// vets factors before the checkpoint hook runs — with λ escalated so
-	// the replay is better conditioned than the attempt that diverged.
-	// Checkpoints keep recording the ORIGINAL λ (see Config.Guard).
+	// The divergence-rollback loop: host.Run either completes, fails hard,
+	// or surfaces guard.DivergedError from the watchdog. On divergence
+	// (non-strict guard, rollback budget left) the run restarts from the
+	// last good checkpoint — which exists because the watchdog vets factors
+	// before the checkpoint hook runs — with λ escalated so the replay is
+	// better conditioned than the attempt that diverged. Checkpoints keep
+	// recording the ORIGINAL λ (see Config.Guard).
 	curLambda := cfg.Lambda
 	rollbacks := 0
 	var res *host.Result
 	for {
 		hostCfg.Lambda = curLambda
 		var err error
-		res, err = host.Train(mx, hostCfg)
+		res, err = host.Run(mx, hostCfg, newExec)
 		if err == nil {
 			break
 		}
@@ -484,30 +516,22 @@ func trainHost(mx *sparse.Matrix, cfg Config) (*Model, *RunInfo, error) {
 		g.NoteRollback()
 		cfg.Obs.RecordRollback(de.Iteration, de.Loss)
 		curLambda *= g.LambdaEscalation
-		hostCfg.StartIteration = 0
-		hostCfg.ResumeX, hostCfg.ResumeY = nil, nil
-		preHistory = nil // the checkpoint hook closure reads this variable
+		// st.X/st.Y are dequantized float32 regardless of the file's
+		// precision, so a rollback works from quantized checkpoints too (the
+		// replay runs with escalated λ and is approximate by construction —
+		// resumeMismatch's lossless rule is for plain resumes, not
+		// recovery). Diverging before the first checkpoint restarts from
+		// scratch.
+		var st *checkpoint.State
 		if cfg.CheckpointDir != "" {
-			st, _, lerr := checkpoint.LoadLatest(fsys, cfg.CheckpointDir)
-			switch {
-			case lerr == nil:
-				// st.X/st.Y are dequantized float32 regardless of the file's
-				// precision, so a rollback works from quantized checkpoints
-				// too (the replay runs with escalated λ and is approximate
-				// by construction — resumeMismatch's lossless rule is for
-				// plain resumes, not recovery).
-				hostCfg.StartIteration = st.Iteration
-				hostCfg.ResumeX, hostCfg.ResumeY = st.X, st.Y
-				preHistory = st.History
-			case errors.Is(lerr, checkpoint.ErrNoCheckpoint):
-				// Diverged before the first checkpoint: restart from scratch.
-			default:
-				return nil, nil, fmt.Errorf("core: rolling back from %s: %w", cfg.CheckpointDir, lerr)
+			if st, err = latest(); err != nil {
+				return nil, nil, fmt.Errorf("core: rolling back from %s: %w", cfg.CheckpointDir, err)
 			}
 		}
+		restart(st)
 	}
 	info := &RunInfo{
-		Platform: PlatformHost, Variant: variantName(cfg.Baseline, v),
+		Platform: PlatformHost, Variant: vname,
 		Seconds: time.Since(start).Seconds(),
 		History: concatHistory(preHistory, res.History), ResumedFrom: resumedFrom,
 		Rollbacks: rollbacks,
@@ -557,41 +581,44 @@ func trainSim(mx *sparse.Matrix, dev *device.Device, cfg Config) (*Model, *RunIn
 	return mod, info, nil
 }
 
-// resumeMismatch rejects resuming under a configuration that would not
-// reproduce the checkpointed run: silently continuing with a different k,
-// λ, seed, λ convention or code variant would converge to a different
-// model while claiming to be the same job.
+// ResumeMismatchError rejects a Resume whose configuration would not
+// reproduce the checkpointed run: silently continuing with a different
+// hyperparameter, code variant or training mode would converge to a
+// different model while claiming to be the same job.
+type ResumeMismatchError struct {
+	Field           string // the mismatched setting, named like its alstrain flag
+	Checkpoint, Run any
+}
+
+func (e *ResumeMismatchError) Error() string {
+	return fmt.Sprintf("core: resume mismatch on %s: checkpoint has %v, run wants %v", e.Field, e.Checkpoint, e.Run)
+}
+
+// resumeMismatch checks every training-mode field a checkpoint records
+// against the run's configuration.
 func resumeMismatch(st *checkpoint.State, cfg *Config, variantID string) error {
-	switch {
-	case st.K != cfg.K:
-		return fmt.Errorf("core: checkpoint has k=%d, run wants k=%d", st.K, cfg.K)
-	case st.Lambda != cfg.Lambda:
-		return fmt.Errorf("core: checkpoint has lambda=%g, run wants %g", st.Lambda, cfg.Lambda)
-	case st.Seed != cfg.Seed:
-		return fmt.Errorf("core: checkpoint has seed=%d, run wants %d", st.Seed, cfg.Seed)
-	case st.WeightedLambda != cfg.WeightedLambda:
-		return fmt.Errorf("core: checkpoint lambda convention (weighted=%v) does not match run (weighted=%v)",
-			st.WeightedLambda, cfg.WeightedLambda)
-	case st.Variant != variantID:
-		return fmt.Errorf("core: checkpoint was trained with variant %q, run wants %q", st.Variant, variantID)
-	case st.Implicit != cfg.Implicit:
-		// Resuming across the explicit/implicit boundary would continue a
-		// run under a different objective entirely.
-		return fmt.Errorf("core: checkpoint is from an %s-feedback run, run wants %s feedback",
-			modeName(st.Implicit), modeName(cfg.Implicit))
-	case st.Alpha != cfg.Alpha:
-		return fmt.Errorf("core: checkpoint has alpha=%g, run wants %g", st.Alpha, cfg.Alpha)
-	case st.Solver != cfg.Solver:
-		return fmt.Errorf("core: checkpoint was trained with solver %q, run wants %q", st.Solver, cfg.Solver)
-	case st.CGIters != cfg.CGIters:
-		return fmt.Errorf("core: checkpoint has cg-iters=%d, run wants %d", st.CGIters, cfg.CGIters)
-	case st.BlockSize != cfg.BlockSize:
-		return fmt.Errorf("core: checkpoint has block-size=%d, run wants %d", st.BlockSize, cfg.BlockSize)
-	case st.Precision != quant.F32:
+	for _, f := range []struct {
+		field           string
+		checkpoint, run any
+	}{
+		{"k", st.K, cfg.K},
+		{"lambda", st.Lambda, cfg.Lambda},
+		{"seed", st.Seed, cfg.Seed},
+		{"weighted-lambda", st.WeightedLambda, cfg.WeightedLambda},
+		{"variant", st.Variant, variantID},
+		{"implicit", feedbackName(st.Implicit), feedbackName(cfg.Implicit)},
+		{"alpha", st.Alpha, cfg.Alpha},
+		{"solver", st.Solver, cfg.Solver},
+		{"cg-iters", st.CGIters, cfg.CGIters},
+		{"block-size", st.BlockSize, cfg.BlockSize},
 		// Quantization is lossy: resuming from dequantized factors would
-		// produce a run that claims bit-identity with the original but
-		// is not. (Divergence rollback deliberately skips this check.)
-		return fmt.Errorf("core: checkpoint factors are quantized (%v); resume requires a float32 checkpoint", st.Precision)
+		// produce a run that claims bit-identity with the original but is
+		// not. (Divergence rollback deliberately skips this check.)
+		{"precision", st.Precision, quant.F32},
+	} {
+		if f.checkpoint != f.run {
+			return &ResumeMismatchError{Field: f.field, Checkpoint: f.checkpoint, Run: f.run}
+		}
 	}
 	return nil
 }
@@ -607,18 +634,15 @@ func concatHistory(pre, cur []host.IterStats) []host.IterStats {
 	return append(out, cur...)
 }
 
-func modeName(implicit bool) string {
+func feedbackName(implicit bool) string {
 	if implicit {
-		return "implicit"
+		return "implicit-feedback"
 	}
-	return "explicit"
+	return "explicit-feedback"
 }
 
 func variantName(baseline bool, v variant.Options) string {
-	if baseline {
-		return "flat baseline"
-	}
-	return v.String()
+	return host.Config{Flat: baseline, Variant: v}.VariantName()
 }
 
 // SelectVariant empirically picks the fastest of the 8 code variants for

@@ -17,7 +17,7 @@
 //   - fused            -> S1 and S2 in one sweep over the gathered rows into
 //     a packed upper-triangular Gram, solved by a packed Cholesky.
 //
-// Workers are spawned once per Train call and persist across all half
+// Workers are spawned once per Pool (one per Train call) and persist across all half
 // iterations: each half is a rendezvous on a shared job (an atomic row
 // cursor), not a fresh goroutine fan-out, and each worker's scratch lives
 // for the whole run so the row-update steady state allocates nothing.
@@ -47,8 +47,8 @@ import (
 
 // Config controls one ALS training run.
 type Config struct {
-	K          int     // latent factor dimensionality (paper default 10)
-	Lambda     float32 // regularization coefficient (paper default 0.1)
+	K          int     // latent factor dimensionality (default 10)
+	Lambda     float32 // regularization coefficient (0 = none; the paper uses 0.1)
 	Iterations int     // full ALS iterations (paper uses 5 for timing)
 	Workers    int     // goroutines; 0 means GOMAXPROCS
 	Seed       int64   // seed for Y's random initial guess
@@ -239,9 +239,40 @@ func (r *Result) RMSE(on *sparse.CSR) float64 { return metrics.RMSE(on, r.X, r.Y
 
 // Train runs ALS (Algorithm 1): X and Y are updated alternately, each side
 // solved exactly row-by-row via Cholesky, for Config.Iterations rounds.
-func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
+func Train(mx *sparse.Matrix, cfg Config) (*Result, error) { return Run(mx, cfg, nil) }
+
+// Executor runs the row solves of whole half-iterations for Run:
+// Half(it, true) updates every row of X against Y, Half(it, false) every
+// row of Y against X, in the factor matrices the executor was built over.
+// Row updates are pure functions of the fixed side, so every executor
+// yields bit-identical factors. Pool is the in-process implementation; the
+// distributed trainer's supervised worker cohort is the other.
+type Executor interface {
+	Half(it int, xHalf bool) error
+	// Workers is how many workers report each half into Config.Obs (0 for
+	// an executor whose workers cannot).
+	Workers() int
+	Close()
+}
+
+// NewExecutor builds the executor for one Run over the run's factor
+// matrices; cfg is the run's configuration with defaults applied.
+type NewExecutor func(cfg Config, x, y *linalg.Dense) (Executor, error)
+
+// Run is Train with the half-iterations delegated to the executor newExec
+// builds; nil runs them on an in-process Pool. Run owns everything between
+// the halves: resume factors, loss tracking, the divergence watchdog, the
+// OnIteration hook, early stopping and the observability stream.
+func Run(mx *sparse.Matrix, cfg Config, newExec NewExecutor) (*Result, error) {
 	m, n := mx.Rows(), mx.Cols()
-	userChunk := cfg.ChunkSize
+	if newExec == nil {
+		// The pool derives each side's chunk size from ChunkSize as
+		// configured, before setDefaults fills it in for the X side.
+		asGiven := cfg
+		newExec = func(_ Config, x, y *linalg.Dense) (Executor, error) {
+			return NewPool(mx, asGiven, x, y, nil), nil
+		}
+	}
 	cfg.setDefaults(m, mx.NNZ())
 	if mx.NNZ() == 0 {
 		return nil, fmt.Errorf("host: empty rating matrix")
@@ -271,31 +302,15 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 		y = cfg.ResumeY.Clone()
 	}
 
-	// The Y update runs the same row-update code on Rᵀ: build a CSR view of
-	// the transpose by reinterpreting the CSC arrays (no copy).
-	rt := &sparse.CSR{NumRows: n, NumCols: m, RowPtr: mx.C.ColPtr, ColIdx: mx.C.RowIdx, Val: mx.C.Val}
-
-	pool := newWorkerPool(cfg)
-	defer pool.close()
-
-	// Per-side schedules, built once and reused every iteration: a
-	// longest-row-first visit order (row updates are independent, so order
-	// changes only balance, never results) and a degree-aware chunk size.
-	// With a single worker there is no imbalance to fix and the natural
-	// order has better locality, so LPT is skipped.
-	var orderX, orderY []int32
-	if !cfg.Flat && pool.workers > 1 {
-		orderX = lptOrder(mx.R)
-		orderY = lptOrder(rt)
+	exec, err := newExec(cfg, x, y)
+	if err != nil {
+		return nil, err
 	}
-	chunkX, chunkY := cfg.ChunkSize, cfg.ChunkSize
-	if userChunk <= 0 {
-		chunkY = defaultChunk(n, mx.NNZ(), cfg.Workers)
-	}
+	defer exec.Close()
 
-	cfg.Obs.SetShape(m, n, mx.NNZ(), pool.workers, variantLabel(cfg), modeLabel(cfg))
+	cfg.Obs.SetShape(m, n, mx.NNZ(), exec.Workers(), cfg.VariantName(), modeLabel(cfg))
 	if cfg.Guard != nil {
-		cfg.Guard.SetVariant(variantLabel(cfg))
+		cfg.Guard.SetVariant(cfg.VariantName())
 		// The watchdog's loss floor scales with the objective's natural
 		// magnitude: Σr² for the explicit squared error, Σc·p² = nnz + αΣr
 		// for the implicit confidence-weighted one.
@@ -311,49 +326,30 @@ func Train(mx *sparse.Matrix, cfg Config) (*Result, error) {
 		}
 		cfg.Guard.SetLossScale(sq)
 	}
-	// Implicit mode shares one FᵀF precompute across every row of a half
-	// iteration; the buffers live here so workers never allocate.
-	var ig *linalg.SharedGram
-	if cfg.Implicit {
-		ig = linalg.NewSharedGram(cfg.K)
-	}
+	halves := [2]struct {
+		xHalf bool
+		name  string
+		rows  int
+	}{{true, "X", m}, {false, "Y", n}}
 	res := &Result{X: x, Y: y}
 	start := time.Now()
 	prevLoss := math.Inf(1)
 	for it := cfg.StartIteration + 1; it <= cfg.Iterations; it++ {
-		cfg.Obs.BeginHalf(it, "X", m, mx.NNZ(), pool.workers)
-		if ig != nil {
-			ig.Compute(y)
-		}
-		err := pool.runHalf(mx.R, y, x, orderX, chunkX, it, true, ig)
-		cfg.Obs.EndHalf()
-		if err != nil {
-			annotateRowError(err, it)
-			return nil, fmt.Errorf("host: iteration %d update X: %w", it, err)
-		}
-		if cfg.TrackLoss {
-			loss := cfg.loss(mx, x, y)
-			res.History = append(res.History, IterStats{
-				Iteration: it, Half: "X", Loss: loss, Elapsed: time.Since(start),
-			})
-			cfg.Obs.RecordLoss(it, "X", loss)
-		}
-		cfg.Obs.BeginHalf(it, "Y", n, mx.NNZ(), pool.workers)
-		if ig != nil {
-			ig.Compute(x)
-		}
-		err = pool.runHalf(rt, x, y, orderY, chunkY, it, false, ig)
-		cfg.Obs.EndHalf()
-		if err != nil {
-			annotateRowError(err, it)
-			return nil, fmt.Errorf("host: iteration %d update Y: %w", it, err)
-		}
-		if cfg.TrackLoss {
-			loss := cfg.loss(mx, x, y)
-			res.History = append(res.History, IterStats{
-				Iteration: it, Half: "Y", Loss: loss, Elapsed: time.Since(start),
-			})
-			cfg.Obs.RecordLoss(it, "Y", loss)
+		for _, h := range halves {
+			cfg.Obs.BeginHalf(it, h.name, h.rows, mx.NNZ(), exec.Workers())
+			err := exec.Half(it, h.xHalf)
+			cfg.Obs.EndHalf()
+			if err != nil {
+				annotateRowError(err, it)
+				return nil, fmt.Errorf("host: iteration %d update %s: %w", it, h.name, err)
+			}
+			if cfg.TrackLoss {
+				loss := cfg.loss(mx, x, y)
+				res.History = append(res.History, IterStats{
+					Iteration: it, Half: h.name, Loss: loss, Elapsed: time.Since(start),
+				})
+				cfg.Obs.RecordLoss(it, h.name, loss)
+			}
 		}
 		// Divergence watchdog: with the workers parked the factors are
 		// stable, so this is the safe point to vet them — and it runs
@@ -412,13 +408,13 @@ func annotateRowError(err error, it int) {
 	}
 }
 
-// variantLabel names the run's code variant for observability output,
-// matching the naming the result layer uses.
-func variantLabel(cfg Config) string {
-	if cfg.Flat {
+// VariantName names the run's code variant the way checkpoints and
+// observability output record it.
+func (c Config) VariantName() string {
+	if c.Flat {
 		return "flat baseline"
 	}
-	return cfg.Variant.String()
+	return c.Variant.String()
 }
 
 // modeLabel names the training mode for observability output.

@@ -39,30 +39,38 @@ func TestDistSmoke(t *testing.T) {
 		bins[name] = bin
 	}
 
-	// Distributed training must be byte-identical to single-process.
+	// Distributed training must be byte-identical to single-process, in
+	// the explicit mode and in implicit mode through the CG solver. The
+	// explicit single-process model is the one the fleet below serves.
 	single := filepath.Join(dir, "single.model")
-	dist := filepath.Join(dir, "dist.model")
 	trainArgs := []string{"-preset", "YMR4", "-scale", "0.02", "-iters", "2",
 		"-k", "6", "-test-frac", "0", "-seed", "11"}
-	for _, run := range [][]string{
-		append(trainArgs[:len(trainArgs):len(trainArgs)], "-out", single),
-		append(trainArgs[:len(trainArgs):len(trainArgs)], "-workers", "2", "-out", dist),
-	} {
-		cmd := exec.Command(bins["alstrain"], run...)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("alstrain %v: %v\n%s", run, err, out)
+	for i, mode := range [][]string{nil, {"-implicit", "-solver", "cg"}} {
+		args := append(append([]string{}, trainArgs...), mode...)
+		ref, dist := single, filepath.Join(dir, fmt.Sprintf("dist%d.model", i))
+		if i > 0 {
+			ref = filepath.Join(dir, fmt.Sprintf("single%d.model", i))
 		}
-	}
-	a, err := os.ReadFile(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("-workers 2 model differs from single-process (%d vs %d bytes)", len(b), len(a))
+		for _, run := range [][]string{
+			append(args[:len(args):len(args)], "-out", ref),
+			append(args[:len(args):len(args)], "-workers", "2", "-out", dist),
+		} {
+			cmd := exec.Command(bins["alstrain"], run...)
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("alstrain %v: %v\n%s", run, err, out)
+			}
+		}
+		a, err := os.ReadFile(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("-workers 2 %v model differs from single-process (%d vs %d bytes)", mode, len(b), len(a))
+		}
 	}
 
 	// Two shard replicas on ephemeral ports.

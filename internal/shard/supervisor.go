@@ -13,15 +13,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/host"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/rtrace"
 )
-
-// ErrInterrupted reports a training run stopped by TrainerConfig.Interrupt
-// (alstrain wires SIGINT/SIGTERM into it). The run's latest state is
-// checkpointed before the error is returned, so the run is resumable.
-var ErrInterrupted = errors.New("shard: training interrupted")
 
 // errRoundDeadline marks a half-iteration exchange that outlived
 // RoundTimeout even though the worker kept heartbeating — the
@@ -52,29 +48,31 @@ type supWorker struct {
 	stop func()
 }
 
-// supervisor owns the worker cohort of a distributed run: it spawns and
+// supervisor owns the worker cohort of a distributed run and is the
+// training driver's half executor (host.Executor) for it: it spawns and
 // accepts workers, runs the per-half gather/broadcast exchange under
 // heartbeat and round deadlines, and — when a worker dies, hangs, or sends a
 // corrupt frame — either respawns the rank seeded from the in-memory factors
 // or elastically downscales the cohort to the survivors once the respawn
 // budget is spent. Downscaling is safe because row updates are pure
 // functions of the fixed side: a W'-worker cohort resumed from the same
-// boundary produces bit-identical factors (the PR-6 invariance).
+// boundary produces bit-identical factors.
 type supervisor struct {
-	cfg     *TrainerConfig
+	cfg     *TrainerConfig // the cohort fields
+	hc      host.Config    // the training configuration, from the driver
 	lis     net.Listener
 	addr    string
 	spawn   func(rank int, addr string) (func(), error)
-	traffic *atomic.Int64
+	traffic atomic.Int64
 
 	m, n, k int
-	x, y    *linalg.Dense
-	vname   string
+	x, y    *linalg.Dense // the driver's factors, assembled here each half
 
 	total   int          // current cohort size
 	workers []*supWorker // indexed by rank; nil = dead
+	spawned bool         // the first half spawned the cohort
+	done    bool         // the final half completed; workers ship spans
 
-	started    time.Time
 	failuresN  int
 	respawns   int
 	downscales int
@@ -86,6 +84,67 @@ type supervisor struct {
 	failuresVec *obs.Vec
 	respawnsC   *obs.Metric
 	deadlineC   *obs.Metric
+}
+
+// bind is the host.NewExecutor the driver calls once it holds the run's
+// factors: fresh, or restored from a checkpoint to ship to the workers.
+func (s *supervisor) bind(hc host.Config, x, y *linalg.Dense) (host.Executor, error) {
+	s.hc, s.x, s.y = hc, x, y
+	s.m, s.n, s.k = x.Rows, y.Rows, hc.K
+	// Head-sample the run: a sampled run traces the coordinator's exchange
+	// spans and tells every worker to trace (and later ship) its own.
+	s.runCtx, s.root = s.cfg.Tracer.StartRequest(context.Background(), "train", rtrace.SpanContext{})
+	if s.root != nil {
+		s.root.SetAttr("workers", strconv.Itoa(s.total))
+		s.root.SetAttr("variant", hc.VariantName())
+	}
+	return s, nil
+}
+
+// Half runs one supervised half-iteration. The first call spawns the
+// cohort at that boundary, seeding it with the driver's factors when the
+// run resumed past iteration 1; a fresh cohort derives the same initial
+// factors from the seed itself.
+func (s *supervisor) Half(it int, xHalf bool) error {
+	half := halfX
+	if !xHalf {
+		half = halfY
+	}
+	if !s.spawned {
+		s.spawned = true
+		point := resumePoint{iter: it, startY: !xHalf}
+		all := make([]int, s.total)
+		for i := range all {
+			all[i] = i
+		}
+		if failed := s.spawnRanks(all, point, it > 1); len(failed) > 0 {
+			for _, r := range sortedRanks(failed) {
+				s.noteFailure(r, failed[r], s.root)
+			}
+			if _, err := s.recover(failed, point, s.root); err != nil {
+				return err
+			}
+		}
+	}
+	if err := s.half(it, half); err != nil {
+		return err
+	}
+	s.done = it == s.hc.Iterations && half == halfY
+	return nil
+}
+
+// Workers reports no in-process workers: the cohort's workers run in their
+// own processes and do not report into the driver's Obs recorder.
+func (s *supervisor) Workers() int { return 0 }
+
+// Close ends the run's trace — collecting the workers' spans when they
+// finished the final iteration — and shuts the cohort down.
+func (s *supervisor) Close() {
+	if s.done {
+		s.collectSpans()
+	}
+	s.root.End()
+	s.close()
 }
 
 func (s *supervisor) logf(format string, args ...any) {
@@ -188,7 +247,7 @@ func (s *supervisor) acceptRanks(want map[int]bool, deadline time.Time) (map[int
 		}
 		c = s.chaosWrap(c)
 		c.SetReadDeadline(deadline)
-		wc := newWire(c, s.traffic)
+		wc := newWire(c, &s.traffic)
 		kind, body, err := wc.readSmall(nil)
 		if err != nil || kind != frameHello || len(body) != 4 {
 			wc.close()
@@ -213,16 +272,18 @@ func (s *supervisor) acceptRanks(want map[int]bool, deadline time.Time) (map[int
 // context when the run is traced, and — when seeded — both factor matrices
 // at the resume point's boundary, so the worker can start mid-run.
 func (s *supervisor) sendSetup(rank int, wc *wire, point resumePoint, seeded bool, deadline time.Time) error {
-	cfg := s.cfg
+	hc := s.hc
 	wcfg := workerConfig{
 		Workers: s.total, Rank: rank,
-		K: s.k, Lambda: cfg.Lambda, Iterations: cfg.Iterations, Seed: cfg.Seed,
-		WeightedLambda: cfg.WeightedLambda, Flat: cfg.Flat,
-		VariantID: cfg.Variant.ID(), Threads: cfg.Threads,
+		K: s.k, Lambda: hc.Lambda, Iterations: hc.Iterations, Seed: hc.Seed,
+		WeightedLambda: hc.WeightedLambda, Flat: hc.Flat, VariantID: hc.Variant.ID(),
+		Implicit: hc.Implicit, Alpha: hc.Alpha, Solver: hc.Solver,
+		CGIters: hc.CGIters, BlockSize: hc.BlockSize,
+		Threads:        s.cfg.Threads,
 		StartIteration: point.iter - 1, StartY: point.startY,
 		Seeded:          seeded,
-		HeartbeatMillis: int(cfg.HeartbeatInterval / time.Millisecond),
-		Data:            cfg.Data,
+		HeartbeatMillis: int(s.cfg.HeartbeatInterval / time.Millisecond),
+		Data:            s.cfg.Data,
 		Trace:           s.root != nil,
 	}
 	body, err := json.Marshal(wcfg)
@@ -390,17 +451,6 @@ func (s *supervisor) recover(failed map[int]error, point resumePoint, span *rtra
 	return out, nil
 }
 
-// iterate runs one full iteration: the X half, then the Y half.
-func (s *supervisor) iterate(it int) error {
-	if err := s.half(it, halfX); err != nil {
-		return fmt.Errorf("iteration %d X half: %w", it, err)
-	}
-	if err := s.half(it, halfY); err != nil {
-		return fmt.Errorf("iteration %d Y half: %w", it, err)
-	}
-	return nil
-}
-
 // half runs one supervised half-iteration exchange: gather every pending
 // shard (recovering failed ranks and re-gathering until the side is fully
 // assembled), then broadcast the assembled side. Broadcast failures are
@@ -446,7 +496,7 @@ func (s *supervisor) half(it int, half byte) error {
 	if half == halfY {
 		next = resumePoint{iter: it + 1}
 	}
-	if next.iter > s.cfg.Iterations {
+	if next.iter > s.hc.Iterations {
 		// Final broadcast: the model is already complete; the failed workers
 		// simply exit without their last copy.
 		return nil

@@ -343,8 +343,8 @@ func TestTrainerInterrupt(t *testing.T) {
 	cfg.CheckpointDir = dir
 	cfg.Interrupt = ch
 	_, info, err := Train(mx, cfg)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+	if !errors.Is(err, core.ErrInterrupted) {
+		t.Fatalf("err = %v, want core.ErrInterrupted", err)
 	}
 	if info == nil || info.FinalWorkers == 0 {
 		t.Fatal("interrupted run returned no info")
