@@ -18,12 +18,18 @@
 //     when a shard stays down — counted in als_shard_partial_total and
 //     reflected by /readyz.
 //
-//   - A data-parallel trainer (Train/RunWorker, alstrain -workers N): worker
-//     processes each solve one static user-row (and item-row) partition and
-//     allgather the updated factors between half-iterations over a
-//     length-prefixed TCP exchange relayed by the coordinator. Row updates
-//     are pure functions of the fixed factors, so the distributed model is
-//     bit-identical to the single-process run on the same seed.
+//   - A data-parallel trainer (Train/TrainWith/RunWorker, alstrain
+//     -workers N): worker processes each solve one static user-row (and
+//     item-row) partition on a host.Pool and allgather the updated factors
+//     between half-iterations over a length-prefixed TCP exchange relayed
+//     by the coordinator. The coordinator's supervisor is only a half
+//     executor (host.Executor): the training lifecycle — resume and its
+//     validation, checkpoint cadence and GC, the graceful interrupt, loss
+//     tracking and the run recorder — is core.TrainOn's, the same driver
+//     core.Train runs. Row updates are pure functions of the fixed factors,
+//     so the distributed model is bit-identical to the single-process run
+//     on the same seed in every training mode (explicit or implicit, any
+//     row solver, iALS++ blocks).
 //
 //   - Worker supervision on that trainer: every frame carries a CRC-32C
 //     trailer (corruption is the typed ErrFrameCorrupt, never silent bad
@@ -33,8 +39,8 @@
 //     (TrainerConfig.MaxRespawns) is spent the cohort elastically
 //     downscales to the survivors — legal because results are bit-identical
 //     across worker counts. Workers self-terminate when the coordinator
-//     dies; TrainerConfig.Interrupt stops a run gracefully at an iteration
-//     boundary with a forced final checkpoint. The chaosnet subpackage is
+//     dies; Interrupt stops a run gracefully at an iteration boundary with
+//     the driver's forced final checkpoint. The chaosnet subpackage is
 //     the deterministic network-fault harness (sever/corrupt/truncate/drop/
 //     delay exactly the Nth frame of a rank+direction) behind the
 //     kill-at-every-frame sweep test and alstrain's -net-chaos flag.
