@@ -126,7 +126,7 @@ func (r *TrainRecorder) SetMeta(program, dataset string, k int, lambda float64, 
 
 // SetShape records what the solver knows about the run (matrix dimensions,
 // resolved worker count, code variant and training mode). Called by
-// host.Train.
+// host.Run, for single-process and distributed runs alike.
 func (r *TrainRecorder) SetShape(rows, cols, nnz, workers int, variant, mode string) {
 	if r == nil {
 		return
